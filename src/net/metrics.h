@@ -7,8 +7,9 @@
 //
 // Stage attribution follows the pipeline: ingest/parse (bytes readable ->
 // row submitted, on the poll thread), score (BatchScorer::Submit -> its
-// completion callback, dominated by batch coalescing + inference), respond
-// (completion callback -> reply bytes handed to the kernel).
+// completion callback: queueing, any coalescing behind a running batch, and
+// inference), respond (completion callback -> reply bytes handed to the
+// kernel).
 
 #ifndef TARGAD_NET_METRICS_H_
 #define TARGAD_NET_METRICS_H_

@@ -89,6 +89,7 @@ void BatchScorer::SubmitPending(Pending request) {
       rejected->promise.set_value(std::move(status));
     }
   };
+  bool wake = false;
   {
     // Bounded admission critical section: a cap check, a push_back, and a
     // counter bump. No blocking work runs under mu_ on this path (the
@@ -110,9 +111,16 @@ void BatchScorer::SubmitPending(Pending request) {
     }
     queue_.push_back(std::move(request));
     ++outstanding_;
+    // Wake a worker only when one must act now: no batch is being scored
+    // (the row goes out at once), nobody is coalescing yet (someone must
+    // keep the row's deadline), or a batch just filled. Otherwise the
+    // coalescing worker sleeps to its deadline, and the scoring worker takes
+    // the row when its batch finishes.
+    wake = scoring_workers_ == 0 || coalescing_workers_ == 0 ||
+           queue_.size() >= options_.max_batch_size;
   }
   if (metrics_ != nullptr) metrics_->RecordSubmitted();
-  queue_cv_.notify_one();
+  if (wake) queue_cv_.notify_one();
 }
 
 void BatchScorer::Drain() {
@@ -147,20 +155,24 @@ void BatchScorer::WorkerLoop() {
       if (stop_) return;
       continue;
     }
-    // Micro-batch coalescing: give the queue until the oldest request's
-    // deadline to fill up to max_batch_size. Skipped when stopping — a
-    // shutdown drains as fast as possible.
-    if (!stop_ && queue_.size() < options_.max_batch_size) {
+    // Work-conserving dispatch, Nagle's rule applied to batches: with no
+    // batch in flight the queued rows go out at once, however few. Behind a
+    // running batch the worker coalesces until the batch fills or the
+    // oldest row has waited max_queue_delay_us, so idle workers do not
+    // split a busy queue into tiny batches. The deadline follows the
+    // current oldest row, as a finishing worker may take the rows this one
+    // started waiting on. Skipped when stopping: a shutdown drains as fast
+    // as possible.
+    ++coalescing_workers_;
+    while (!stop_ && scoring_workers_ > 0 && !queue_.empty() &&
+           queue_.size() < options_.max_batch_size) {
       const auto deadline =
           queue_.front().enqueued +
           std::chrono::microseconds(options_.max_queue_delay_us);
-      while (!stop_ && queue_.size() < options_.max_batch_size) {
-        if (queue_cv_.wait_until(lock, deadline) ==
-            std::cv_status::timeout) {
-          break;
-        }
-      }
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      queue_cv_.wait_until(lock, deadline);
     }
+    --coalescing_workers_;
     if (queue_.empty()) continue;  // Another worker took the rows.
 
     const size_t n = std::min(queue_.size(), options_.max_batch_size);
@@ -170,6 +182,7 @@ void BatchScorer::WorkerLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    ++scoring_workers_;
     lock.unlock();
     ScoreBatch(&batch);
     // Destroy the fulfilled rows before relocking: a callback's captures
@@ -178,6 +191,7 @@ void BatchScorer::WorkerLoop() {
     const size_t batch_size = batch.size();
     batch.clear();
     lock.lock();
+    --scoring_workers_;
     outstanding_ -= batch_size;
     if (outstanding_ == 0) drained_cv_.notify_all();
   }
@@ -284,7 +298,9 @@ void BatchScorer::ScoreGroup(const std::string& model,
   data::RawTable table;
   table.column_names = columns;
   table.rows.reserve(scorable.size());
-  for (Pending* request : scorable) table.rows.push_back(request->cells);
+  for (Pending* request : scorable) {
+    table.rows.push_back(std::move(request->cells));
+  }
 
   if (metrics_ != nullptr) metrics_->RecordBatch(scorable.size());
   Result<std::vector<double>> scores = snapshot->Score(table);
@@ -306,18 +322,18 @@ void BatchScorer::ScoreGroup(const std::string& model,
   // The vectorized call failed (e.g. one non-numeric cell poisons the whole
   // encoder transform). Re-score row by row so only the offending rows
   // fail; per-row results are bit-identical to the batched ones.
-  for (Pending* request : scorable) {
+  for (size_t i = 0; i < scorable.size(); ++i) {
     data::RawTable row_table;
     row_table.column_names = columns;
-    row_table.rows.push_back(request->cells);
+    row_table.rows.push_back(std::move(table.rows[i]));
     Result<std::vector<double>> row_score = snapshot->Score(row_table);
     if (row_score.ok() && row_score->size() == 1) {
-      fulfill(request, (*row_score)[0]);
+      fulfill(scorable[i], (*row_score)[0]);
     } else {
-      fulfill(request, row_score.ok()
-                           ? Status::Internal("batch scorer: score count "
-                                              "mismatch")
-                           : row_score.status());
+      fulfill(scorable[i], row_score.ok()
+                               ? Status::Internal("batch scorer: score count "
+                                                  "mismatch")
+                               : row_score.status());
     }
   }
   record_model();

@@ -1,9 +1,17 @@
 // BatchScorer: the micro-batching engine of the scoring service. Callers
 // submit single feature rows and get a std::future<Result<double>> back;
-// background workers (on a dedicated targad::ThreadPool) coalesce queued
-// requests up to max_batch_size / max_queue_delay_us and run ONE vectorized
+// background workers (on a dedicated targad::ThreadPool) take queued rows
+// in batches of up to max_batch_size and run ONE vectorized
 // RowScorer::Score call per batch group, so per-request overhead is
-// amortized while tail latency stays bounded by the coalescing delay.
+// amortized.
+//
+// Dispatch is work-conserving (Nagle's rule applied to batches): a worker
+// that finds queued rows while no other batch is being scored takes them at
+// once, however few, so a lone row on an idle scorer never waits out a
+// window. Only while another batch is being scored does a worker coalesce:
+// it waits until the queue holds max_batch_size rows or the oldest row has
+// waited max_queue_delay_us. Rows pile up behind running work, so batches
+// still grow with load.
 //
 // Rows are routed by model name: Submit(model, cells) tags the row, the
 // plain Submit(cells) overload targets kDefaultModel. Workers group each
@@ -50,8 +58,9 @@ namespace serve {
 struct BatchScorerOptions {
   /// Rows coalesced into one vectorized Score call.
   size_t max_batch_size = 64;
-  /// How long a queued request may wait for its batch to fill before the
-  /// batch is dispatched anyway.
+  /// The longest a row waits behind a running batch for its own batch to
+  /// fill before it is dispatched anyway. A row that finds no batch being
+  /// scored never waits.
   int64_t max_queue_delay_us = 200;
   /// Admission bound: pending (unscored) rows past this are rejected with
   /// ResourceExhausted.
@@ -177,6 +186,11 @@ class BatchScorer {
   std::deque<Pending> queue_ TARGAD_GUARDED_BY(mu_);
   /// Admitted but not yet fulfilled.
   size_t outstanding_ TARGAD_GUARDED_BY(mu_) = 0;
+  /// Workers scoring a batch right now; the dispatch rule coalesces only
+  /// while this is non-zero.
+  size_t scoring_workers_ TARGAD_GUARDED_BY(mu_) = 0;
+  /// Workers waiting behind a running batch for theirs to fill.
+  size_t coalescing_workers_ TARGAD_GUARDED_BY(mu_) = 0;
   bool stop_ TARGAD_GUARDED_BY(mu_) = false;
 
   /// Raw pointer of the previously scored snapshot per model, for swap

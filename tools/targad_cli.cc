@@ -26,6 +26,9 @@
 //                [--drain-grace-ms 5000] [--warm N]
 //       Stream rows (stdin or --in) through the micro-batched scoring
 //       service; scores go to stdout or --out, a metrics report to stderr.
+//       A row that finds no batch being scored is dispatched at once;
+//       --delay-us is the longest a row waits behind a running batch for
+//       its own batch to fill up to --batch rows.
 //       --dtype float32 freezes published models into the float32 inference
 //       plan; float64 (default) serves the full-precision pipeline. --models
 //       registers every artifact in DIR; a row may start with a
