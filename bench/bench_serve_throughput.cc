@@ -4,14 +4,15 @@
 // and what the float32 frozen inference plan buys on top. Each cell scores
 // the same row set submitted by 4 concurrent client threads and reports
 // effective throughput plus observed mean batch size and p95 request
-// latency. float64 serves the TargAdPipeline itself; float32 serves the
-// frozen core::FrozenScorer built by TargAdPipeline::Freeze.
+// latency. Both dtypes serve the core::FrozenScorer that
+// TargAdPipeline::Freeze builds, as the model registry does.
 //
 // A cold-start phase times bringing a model from disk to servable: the
-// text path (TargAdPipeline::Load parse + Freeze) against the flat-artifact
-// path (FrozenScorer::LoadArtifact — mmap + pointer fixup, no parse, no
-// tensor copies). This is the registry's cold->warm promotion cost, i.e.
-// the latency a routed row pays when it faults a model into the warm tier.
+// text path (FrozenScorer::LoadText — parse + freeze) against the
+// flat-artifact path (FrozenScorer::LoadArtifact — mmap + pointer fixup, no
+// parse, no tensor copies). This is the registry's cold->warm promotion
+// cost, i.e. the latency a routed row pays when it faults a model into the
+// warm tier.
 //
 // Output: table on stdout, bench_serve_throughput.csv (CsvSink convention),
 // and serve_throughput.json for the bench trajectory.
@@ -167,9 +168,8 @@ ColdStartResult RunColdStart(core::TargAdPipeline& pipeline) {
 
   ColdStartResult result;
   result.text_load_us = median_us([&]() -> size_t {
-    std::ifstream in(text_path);
-    auto loaded = core::TargAdPipeline::Load(in).ValueOrDie();
-    auto frozen = loaded.Freeze(nn::Dtype::kFloat32).ValueOrDie();
+    auto frozen = core::FrozenScorer::LoadText(text_path, nn::Dtype::kFloat32)
+                      .ValueOrDie();
     return static_cast<size_t>(frozen.m() + frozen.k());
   });
   result.artifact_load_us = median_us([&]() -> size_t {
@@ -206,14 +206,15 @@ int main() {
   auto pipeline = std::make_shared<core::TargAdPipeline>(
       core::TargAdPipeline::Train(MakeTrainingTable(7, n_train), config)
           .ValueOrDie());
+  auto frozen64 = std::make_shared<const core::FrozenScorer>(
+      pipeline->Freeze(nn::Dtype::kFloat64).ValueOrDie());
   auto frozen32 = std::make_shared<const core::FrozenScorer>(
       pipeline->Freeze(nn::Dtype::kFloat32).ValueOrDie());
   const auto rows = MakeRequestRows(8, n_rows);
 
-  // The float64 cells serve the pipeline, the float32 cells the frozen plan.
   const std::vector<
       std::pair<const char*, std::shared_ptr<const core::RowScorer>>>
-      dtypes = {{"float64", pipeline}, {"float32", frozen32}};
+      dtypes = {{"float64", frozen64}, {"float32", frozen32}};
 
   const nn::kernels::TilingConfig& tiling = nn::kernels::Tiling();
   std::printf("serve throughput — %zu rows per cell, 4 client threads\n",

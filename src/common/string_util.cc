@@ -40,6 +40,13 @@ std::string Join(const std::vector<std::string>& items, std::string_view sep) {
 bool ParseDouble(std::string_view s, double* out) {
   s = Trim(s);
   if (s.empty()) return false;
+  // strtod also reads C99 hexadecimal ("0x10" = 16, "0x1p3" = 8); a data
+  // cell in that form is not a decimal number, so it is rejected.
+  const size_t digits = (s[0] == '+' || s[0] == '-') ? 1 : 0;
+  if (s.size() > digits + 1 && s[digits] == '0' &&
+      (s[digits + 1] == 'x' || s[digits + 1] == 'X')) {
+    return false;
+  }
   std::string buf(s);
   errno = 0;
   char* end = nullptr;

@@ -19,7 +19,8 @@ std::string_view Trim(std::string_view s);
 /// Joins items with `sep`.
 std::string Join(const std::vector<std::string>& items, std::string_view sep);
 
-/// True if `s` parses fully as a finite double; stores it in *out.
+/// True if `s` (surrounding whitespace trimmed) parses fully as a finite
+/// decimal double; stores it in *out. Hexadecimal forms are rejected.
 bool ParseDouble(std::string_view s, double* out);
 
 /// True if `s` parses fully as a long; stores it in *out.

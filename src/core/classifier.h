@@ -18,7 +18,6 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "nn/frozen.h"
 #include "nn/mlp.h"
 
 namespace targad {
@@ -83,13 +82,6 @@ class TargAdClassifier {
 
   /// softmax(logits).
   nn::Matrix PredictProba(const nn::Matrix& x) const { return mlp_->InferProba(x); }
-
-  /// Freezes the fitted MLP into a flat fused inference plan at `dtype`
-  /// (training state stripped, weights converted once). A kFloat64 plan's
-  /// outputs are bit-identical to Logits.
-  [[nodiscard]] Result<nn::InferencePlan> Freeze(nn::Dtype dtype) const {
-    return nn::InferencePlan::Freeze(mlp_->net(), dtype);
-  }
 
   int m() const { return m_; }
   int k() const { return k_; }

@@ -86,6 +86,12 @@ class FrozenScorer : public RowScorer {
   [[nodiscard]] static Result<FrozenScorer> LoadArtifact(
       const std::string& path);
 
+  /// Reads a text pipeline file (the `targad train` output, see
+  /// TargAdPipeline::Save) and freezes it at `dtype`. A pipeline that
+  /// cannot be frozen is an error; nothing of the pipeline is kept.
+  [[nodiscard]] static Result<FrozenScorer> LoadText(const std::string& path,
+                                                     nn::Dtype dtype);
+
   /// True when this scorer borrows a mapped artifact (LoadArtifact); false
   /// for Freeze-built scorers whose nets own their arena.
   bool mapped() const { return backing_ != nullptr; }

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <fstream>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -150,6 +151,15 @@ Result<FrozenScorer> TargAdPipeline::Freeze(nn::Dtype dtype) const {
   spec.k = model_->k();
   return FrozenScorer::Make(std::move(spec),
                             model_->classifier().mlp().net(), dtype);
+}
+
+// Defined here, not in frozen_scorer.cc: the text format is the pipeline's.
+Result<FrozenScorer> FrozenScorer::LoadText(const std::string& path,
+                                            nn::Dtype dtype) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open ", path);
+  TARGAD_ASSIGN_OR_RETURN(TargAdPipeline pipeline, TargAdPipeline::Load(in));
+  return pipeline.Freeze(dtype);
 }
 
 namespace {

@@ -7,6 +7,10 @@
 // rows; every other distinct value is a target anomaly class (class ids
 // assigned by first appearance). Scoring CSVs carry the same feature
 // columns (the label column may be present — it is ignored — or absent).
+//
+// The pipeline is the training object and the float64 scoring oracle of
+// `targad score`. Serving never holds one: Freeze turns it into the
+// core::FrozenScorer that the registry and BatchScorer serve.
 
 #ifndef TARGAD_CORE_PIPELINE_H_
 #define TARGAD_CORE_PIPELINE_H_
@@ -19,7 +23,6 @@
 
 #include "common/result.h"
 #include "core/frozen_scorer.h"
-#include "core/scorer.h"
 #include "core/targad.h"
 #include "data/csv.h"
 #include "data/preprocess.h"
@@ -37,7 +40,7 @@ struct PipelineConfig {
 };
 
 /// Preprocessing + model bundle fit from a CSV.
-class TargAdPipeline : public RowScorer {
+class TargAdPipeline {
  public:
   /// Fits encoder, normalizer, and model from a training table.
   [[nodiscard]] static Result<TargAdPipeline> Train(const data::RawTable& table,
@@ -49,9 +52,8 @@ class TargAdPipeline : public RowScorer {
 
   /// Scores a table with the same feature columns as training (the label
   /// column, if present, is dropped). Returns S^tar per row. Const and
-  /// thread-safe on a fitted pipeline: the serving layer shares one
-  /// immutable pipeline snapshot across concurrent scorers.
-  [[nodiscard]] Result<std::vector<double>> Score(const data::RawTable& table) const override;
+  /// thread-safe on a fitted pipeline.
+  [[nodiscard]] Result<std::vector<double>> Score(const data::RawTable& table) const;
 
   /// Convenience: ReadCsv + Score.
   [[nodiscard]] Result<std::vector<double>> ScoreCsv(const std::string& path) const;
@@ -66,12 +68,12 @@ class TargAdPipeline : public RowScorer {
   const std::vector<std::string>& class_names() const { return class_names_; }
 
   /// Feature columns a scoring table must carry, in training order.
-  const std::vector<std::string>& feature_columns() const override {
+  const std::vector<std::string>& feature_columns() const {
     return feature_columns_;
   }
 
   /// Name of the (optional, ignored at scoring time) label column.
-  const std::string& label_column() const override {
+  const std::string& label_column() const {
     return config_.label_column;
   }
 

@@ -1,8 +1,7 @@
-// RowScorer: the minimal scoring contract the serving stack depends on.
-// Both the full training pipeline (TargAdPipeline) and its frozen serving
-// representation (FrozenScorer) implement it, so the registry, batch scorer,
-// and stream driver are agnostic to which one a snapshot holds — and to the
-// dtype the frozen plan computes in.
+// RowScorer: the minimal scoring contract BatchScorer and ScoreCsvStream
+// depend on. The library's one implementation is FrozenScorer, the model
+// the registry serves; the interface lets tests and benches wrap or fake a
+// scorer without a trained model.
 
 #ifndef TARGAD_CORE_SCORER_H_
 #define TARGAD_CORE_SCORER_H_

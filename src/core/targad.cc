@@ -149,11 +149,6 @@ nn::Matrix TargAD::Logits(const nn::Matrix& x) const {
   return classifier_->Logits(x);
 }
 
-Result<nn::InferencePlan> TargAD::Freeze(nn::Dtype dtype) const {
-  if (!fitted_) return Status::FailedPrecondition("TargAD::Freeze before Fit");
-  return classifier_->Freeze(dtype);
-}
-
 const TargAdClassifier& TargAD::classifier() const {
   TARGAD_CHECK(fitted_) << "TargAD::classifier before Fit";
   return *classifier_;

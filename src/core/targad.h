@@ -118,10 +118,6 @@ class TargAD {
   /// Restores a model written by Save; the result is ready to Score.
   [[nodiscard]] static Result<TargAD> Load(std::istream& in);
 
-  /// Freezes the fitted classifier into a dtype-specific inference plan
-  /// (see nn/frozen.h). Requires Fit.
-  [[nodiscard]] Result<nn::InferencePlan> Freeze(nn::Dtype dtype) const;
-
   /// The fitted classifier. Requires Fit.
   const TargAdClassifier& classifier() const;
 

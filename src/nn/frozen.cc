@@ -189,32 +189,5 @@ TARGAD_HOT_PATH MatrixT<T> FrozenNetT<T>::Infer(const MatrixT<T>& x) const {
 template class FrozenNetT<double>;
 template class FrozenNetT<float>;
 
-Result<InferencePlan> InferencePlan::Freeze(const Sequential& net,
-                                            Dtype dtype) {
-  if (dtype == Dtype::kFloat32) {
-    TARGAD_ASSIGN_OR_RETURN(FrozenNetF frozen, FrozenNetF::Freeze(net));
-    return InferencePlan(dtype, std::move(frozen));
-  }
-  TARGAD_ASSIGN_OR_RETURN(FrozenNet frozen, FrozenNet::Freeze(net));
-  return InferencePlan(dtype, std::move(frozen));
-}
-
-Matrix InferencePlan::Infer(const Matrix& x) const {
-  if (dtype_ == Dtype::kFloat64) return net<double>().Infer(x);
-  return CastMatrix<double>(net<float>().Infer(CastMatrix<float>(x)));
-}
-
-size_t InferencePlan::input_dim() const {
-  return std::visit([](const auto& n) { return n.input_dim(); }, net_);
-}
-
-size_t InferencePlan::output_dim() const {
-  return std::visit([](const auto& n) { return n.output_dim(); }, net_);
-}
-
-size_t InferencePlan::num_steps() const {
-  return std::visit([](const auto& n) { return n.num_steps(); }, net_);
-}
-
 }  // namespace nn
 }  // namespace targad

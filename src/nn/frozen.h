@@ -3,8 +3,8 @@
 // fitted Sequential: weights are converted to the requested dtype, Dropout
 // and all training-only state (caches, gradients, optimizer slots) are
 // stripped, and the forward pass collapses into a flat loop over fused
-// affine+activation steps. InferencePlan is the dtype-erased handle the
-// pipeline and serving layers thread through the stack.
+// affine+activation steps. core::FrozenScorer keeps its FrozenNetT in a
+// variant over the two dtypes; that is the one place the dtype is erased.
 //
 // Exactness contract: for T = double a frozen forward reproduces
 // Sequential::Infer bit-for-bit — the fused step keeps the exact
@@ -17,7 +17,6 @@
 
 #include <memory>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -27,7 +26,7 @@
 namespace targad {
 namespace nn {
 
-/// Element type an InferencePlan computes in.
+/// Element type a frozen net (and the FrozenScorer around it) computes in.
 enum class Dtype { kFloat32, kFloat64 };
 
 const char* DtypeName(Dtype dtype);
@@ -95,39 +94,6 @@ class FrozenNetT {
 
 using FrozenNet = FrozenNetT<double>;
 using FrozenNetF = FrozenNetT<float>;
-
-/// Dtype-erased frozen network: the serving layers hold an InferencePlan
-/// without caring which element type it computes in.
-class InferencePlan {
- public:
-  /// Freezes `net` at the requested dtype.
-  [[nodiscard]] static Result<InferencePlan> Freeze(const Sequential& net, Dtype dtype);
-
-  /// Double-in / double-out convenience forward: narrows the input to the
-  /// plan dtype, runs the fused loop, and widens the outputs back. A
-  /// kFloat64 plan is bit-identical to Sequential::Infer.
-  Matrix Infer(const Matrix& x) const;
-
-  Dtype dtype() const { return dtype_; }
-  size_t input_dim() const;
-  size_t output_dim() const;
-  size_t num_steps() const;
-
-  /// Typed access for callers that stage their own inputs in the plan's
-  /// dtype (e.g. core::FrozenScorer featurizes in T). CHECK-fails when T
-  /// does not match dtype().
-  template <typename T>
-  const FrozenNetT<T>& net() const {
-    return std::get<FrozenNetT<T>>(net_);
-  }
-
- private:
-  InferencePlan(Dtype dtype, std::variant<FrozenNetT<float>, FrozenNetT<double>> net)
-      : dtype_(dtype), net_(std::move(net)) {}
-
-  Dtype dtype_ = Dtype::kFloat64;
-  std::variant<FrozenNetT<float>, FrozenNetT<double>> net_;
-};
 
 }  // namespace nn
 }  // namespace targad

@@ -20,7 +20,7 @@
 //
 // Guarantees:
 //  - Scores are bit-identical to a serial RowScorer::Score of the same
-//    row: every pipeline stage (one-hot, min-max, inference) is
+//    row: every scoring stage (one-hot, min-max, inference) is
 //    row-independent with identical per-row arithmetic at any batch size.
 //  - Admission is bounded: past max_queue_rows pending requests, Submit
 //    fails fast with Status::ResourceExhausted instead of queueing.
@@ -48,7 +48,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "core/pipeline.h"
 #include "core/scorer.h"
 #include "serve/metrics.h"
 
@@ -84,11 +83,6 @@ class BatchScorer {
       std::function<std::shared_ptr<const core::RowScorer>(
           const std::string& model)>;
 
-  /// Legacy single-model provider: serves kDefaultModel only; rows routed
-  /// to any other name fail with NotFound.
-  using SnapshotProvider =
-      std::function<std::shared_ptr<const core::TargAdPipeline>()>;
-
   /// Names the unknown-model NotFound message can offer as alternatives
   /// ("available: a, b, ..."). Called on the failure path only — once per
   /// failed batch group, never per row. Typically ModelRegistry::ListNames
@@ -97,13 +91,6 @@ class BatchScorer {
 
   BatchScorer(NamedSnapshotProvider provider, BatchScorerOptions options,
               ServeMetrics* metrics = nullptr, ModelLister lister = nullptr);
-
-  BatchScorer(SnapshotProvider provider, BatchScorerOptions options,
-              ServeMetrics* metrics = nullptr);
-
-  /// Convenience: scores every kDefaultModel batch with one fixed pipeline.
-  BatchScorer(std::shared_ptr<const core::TargAdPipeline> pipeline,
-              BatchScorerOptions options, ServeMetrics* metrics = nullptr);
 
   /// Shuts down (drains pending requests, joins workers).
   ~BatchScorer();

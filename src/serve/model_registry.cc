@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
-#include "common/logging.h"
 #include "nn/artifact.h"
 
 namespace targad {
@@ -78,44 +76,23 @@ Status ModelRegistry::LoadDirectory(const std::string& dir) {
 }
 
 Result<ModelRegistry::LoadedModel> ModelRegistry::LoadFromFile(
-    const std::string& name, const std::string& path, nn::Dtype serve_dtype,
-    ServeMetrics* metrics) {
+    const std::string& path, nn::Dtype serve_dtype, ServeMetrics* metrics) {
   const auto started = std::chrono::steady_clock::now();
   LoadedModel loaded;
   // Stat before reading: if the file is overwritten while we load it, the
   // next RefreshIfChanged sees a newer signature and reloads.
   loaded.stat_ok = StatSignature(path, &loaded.sig);
 
-  if (IsArtifactPath(path)) {
-    // Flat artifact: mmap + checksum + pointer fixup, no parse. The
-    // artifact carries its own dtype; serve_dtype does not apply.
-    TARGAD_ASSIGN_OR_RETURN(core::FrozenScorer scorer,
-                            core::FrozenScorer::LoadArtifact(path));
-    loaded.frozen =
-        std::make_shared<const core::FrozenScorer>(std::move(scorer));
-    loaded.artifact = true;
-  } else {
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open ", path);
-    TARGAD_ASSIGN_OR_RETURN(core::TargAdPipeline pipeline,
-                            core::TargAdPipeline::Load(in));
-    // Freeze outside the registry lock — weight conversion is CPU work,
-    // and lookups must stay responsive while a large model is prepared.
-    if (serve_dtype == nn::Dtype::kFloat32) {
-      auto plan = pipeline.Freeze(nn::Dtype::kFloat32);
-      if (plan.ok()) {
-        loaded.frozen = std::make_shared<const core::FrozenScorer>(
-            std::move(plan).ValueOrDie());
-      } else {
-        // Serve the double pipeline rather than drop the model.
-        TARGAD_LOG(Warning) << "model registry: cannot freeze '" << name
-                            << "' to float32 (" << plan.status().message()
-                            << "); serving float64 pipeline";
-      }
-    }
-    loaded.pipeline =
-        std::make_shared<const core::TargAdPipeline>(std::move(pipeline));
-  }
+  // Either way the CPU work (parse + weight conversion, or mmap + fixup)
+  // runs outside the registry lock, so lookups stay responsive while a
+  // large model is prepared. An artifact carries its own dtype.
+  loaded.artifact = IsArtifactPath(path);
+  auto scorer = loaded.artifact
+                    ? core::FrozenScorer::LoadArtifact(path)
+                    : core::FrozenScorer::LoadText(path, serve_dtype);
+  if (!scorer.ok()) return scorer.status();
+  loaded.scorer = std::make_shared<const core::FrozenScorer>(
+      std::move(scorer).ValueOrDie());
   if (metrics != nullptr) metrics->RecordRegistryLoad(ElapsedUs(started));
   return loaded;
 }
@@ -126,8 +103,7 @@ uint64_t ModelRegistry::InstallLocked(const std::string& name,
                                       bool bump_version) {
   Entry& entry = models_[name];
   const bool was_in_lru = entry.warm && entry.file_backed;
-  entry.pipeline = std::move(loaded.pipeline);
-  entry.frozen = std::move(loaded.frozen);
+  entry.scorer = std::move(loaded.scorer);
   if (bump_version) entry.version += 1;
   entry.generation += 1;
   entry.source = source;
@@ -166,8 +142,7 @@ void ModelRegistry::EvictOverCapacityLocked() {
     // Demotion drops only the registry's references: snapshots held by
     // in-flight batches keep the plan — and a mapped artifact's mapping —
     // alive until the last one completes.
-    entry.pipeline.reset();
-    entry.frozen.reset();
+    entry.scorer.reset();
     entry.warm = false;
     if (metrics_ != nullptr) metrics_->RecordRegistryEviction();
   }
@@ -185,7 +160,7 @@ Status ModelRegistry::PublishFile(const std::string& name,
     dtype = serve_dtype_;
     metrics = metrics_;
   }
-  auto loaded = LoadFromFile(name, path, dtype, metrics);
+  auto loaded = LoadFromFile(path, dtype, metrics);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),
                   "model registry: loading " + path + ": " +
@@ -198,47 +173,17 @@ Status ModelRegistry::PublishFile(const std::string& name,
 }
 
 uint64_t ModelRegistry::Publish(
-    const std::string& name,
-    std::shared_ptr<const core::TargAdPipeline> pipeline,
+    const std::string& name, std::shared_ptr<const core::FrozenScorer> scorer,
     const std::string& source) {
-  nn::Dtype dtype;
-  {
-    MutexLock lock(&mu_);
-    dtype = serve_dtype_;
-  }
-  // Freeze outside the lock — weight conversion is CPU work, and Get must
-  // stay responsive while a large artifact is being prepared.
-  std::shared_ptr<const core::FrozenScorer> frozen;
-  if (dtype == nn::Dtype::kFloat32 && pipeline != nullptr) {
-    auto plan = pipeline->Freeze(nn::Dtype::kFloat32);
-    if (plan.ok()) {
-      frozen = std::make_shared<const core::FrozenScorer>(
-          std::move(plan).ValueOrDie());
-    } else {
-      // Serve the double pipeline rather than drop the model.
-      TARGAD_LOG(Warning) << "model registry: cannot freeze '" << name
-                          << "' to float32 (" << plan.status().message()
-                          << "); serving float64 pipeline";
-    }
-  }
+  LoadedModel loaded;
+  loaded.scorer = std::move(scorer);  // No stat signature: pinned warm.
   MutexLock lock(&mu_);
-  Entry& entry = models_[name];
-  if (entry.warm && entry.file_backed) lru_.erase(entry.lru_pos);
-  entry.pipeline = std::move(pipeline);
-  entry.frozen = std::move(frozen);
-  entry.version += 1;
-  entry.generation += 1;
-  entry.source = source;
-  entry.file_backed = false;  // Pinned warm: nothing on disk to reload.
-  entry.artifact = false;
-  entry.warm = true;
-  entry.sig = FileSignature{};
-  return entry.version;
+  return InstallLocked(name, std::move(loaded), source, /*bump_version=*/true);
 }
 
 Result<size_t> ModelRegistry::RefreshIfChanged() {
   // Snapshot the poll set under the lock, then stat and reload without it:
-  // loading an artifact must not stall concurrent Get/GetScorer calls.
+  // loading an artifact must not stall concurrent GetScorer calls.
   // Cold entries are skipped — promotion re-reads the file anyway.
   struct Polled {
     std::string name;
@@ -307,7 +252,8 @@ const ModelRegistry::Entry* ModelRegistry::FindLocked(
   return it == models_.end() ? nullptr : &it->second;
 }
 
-Result<ModelRegistry::SnapshotPair> ModelRegistry::PromoteAndInstall(
+Result<std::shared_ptr<const core::FrozenScorer>>
+ModelRegistry::PromoteAndInstall(
     const std::string& name, const std::string& path) {
   nn::Dtype dtype;
   ServeMetrics* metrics;
@@ -320,13 +266,13 @@ Result<ModelRegistry::SnapshotPair> ModelRegistry::PromoteAndInstall(
   // consistent (the second one wins and bumps the generation again) and
   // each caller scores with the snapshot it loaded — the duplicate work is
   // the price of never holding mu_ across disk I/O.
-  auto loaded = LoadFromFile(name, path, dtype, metrics);
+  auto loaded = LoadFromFile(path, dtype, metrics);
   if (!loaded.ok()) {
     return Status(loaded.status().code(),
                   "model registry: promoting '" + name + "' from " + path +
                       ": " + loaded.status().message());
   }
-  SnapshotPair out{loaded->pipeline, loaded->frozen};
+  std::shared_ptr<const core::FrozenScorer> out = loaded->scorer;
   MutexLock lock(&mu_);
   // A concurrent Remove wins: hand the caller its snapshot, but do not
   // resurrect the entry.
@@ -335,33 +281,6 @@ Result<ModelRegistry::SnapshotPair> ModelRegistry::PromoteAndInstall(
                   /*bump_version=*/false);
   }
   return out;
-}
-
-Result<std::shared_ptr<const core::TargAdPipeline>> ModelRegistry::Get(
-    const std::string& name) {
-  std::string path;
-  {
-    MutexLock lock(&mu_);
-    Entry* entry = FindLocked(name);
-    if (entry == nullptr) {
-      return Status::NotFound("model registry: no model named '", name, "'");
-    }
-    if (entry->artifact) {
-      return Status::FailedPrecondition(
-          "model registry: '", name,
-          "' is a flat artifact with no pipeline; use GetScorer");
-    }
-    if (entry->warm) {
-      if (metrics_ != nullptr) metrics_->RecordRegistryHit();
-      if (entry->file_backed) TouchLocked(entry);
-      return entry->pipeline;
-    }
-    if (metrics_ != nullptr) metrics_->RecordRegistryMiss();
-    path = entry->source;
-  }
-  TARGAD_ASSIGN_OR_RETURN(SnapshotPair promoted,
-                          PromoteAndInstall(name, path));
-  return promoted.pipeline;
 }
 
 Result<std::shared_ptr<const core::RowScorer>> ModelRegistry::GetScorer(
@@ -376,20 +295,14 @@ Result<std::shared_ptr<const core::RowScorer>> ModelRegistry::GetScorer(
     if (entry->warm) {
       if (metrics_ != nullptr) metrics_->RecordRegistryHit();
       if (entry->file_backed) TouchLocked(entry);
-      if (entry->frozen != nullptr) {
-        return std::shared_ptr<const core::RowScorer>(entry->frozen);
-      }
-      return std::shared_ptr<const core::RowScorer>(entry->pipeline);
+      return std::shared_ptr<const core::RowScorer>(entry->scorer);
     }
     if (metrics_ != nullptr) metrics_->RecordRegistryMiss();
     path = entry->source;
   }
-  TARGAD_ASSIGN_OR_RETURN(SnapshotPair promoted,
+  TARGAD_ASSIGN_OR_RETURN(std::shared_ptr<const core::FrozenScorer> promoted,
                           PromoteAndInstall(name, path));
-  if (promoted.frozen != nullptr) {
-    return std::shared_ptr<const core::RowScorer>(promoted.frozen);
-  }
-  return std::shared_ptr<const core::RowScorer>(promoted.pipeline);
+  return std::shared_ptr<const core::RowScorer>(std::move(promoted));
 }
 
 Result<ModelInfo> ModelRegistry::Info(const std::string& name) const {

@@ -2,12 +2,15 @@
 // organized as a two-tier cache for fleet-scale serving (hundreds of
 // models behind one process).
 //
-//   warm tier  entries whose snapshot is resident: a pipeline (text
-//              artifacts), a frozen scorer (".tgz1" artifacts, built by
-//              pointer fixup over an mmap-ed file), or both. Get/GetScorer
-//              hand the snapshot out under the mutex; scorers keep a
-//              consistent model for a whole batch while a replacement is
-//              published concurrently.
+// Every snapshot is a core::FrozenScorer — the one serving
+// representation. Text pipelines (".targad"/".model") are parsed and frozen
+// at serve_dtype when they load; flat ".tgz1" artifacts are mapped as they
+// are and keep their own dtype. A model that fails to freeze fails its load.
+//
+//   warm tier  entries whose frozen scorer is resident. GetScorer hands the
+//              snapshot out under the mutex; scorers keep a consistent
+//              model for a whole batch while a replacement is published
+//              concurrently.
 //   cold tier  file-backed entries the registry knows about — name, path,
 //              stat signature — whose snapshot has been dropped. The first
 //              lookup promotes the entry back to warm (a disk load; for
@@ -21,11 +24,6 @@
 // pin the plan (and, for mapped artifacts, the mapping itself) until the
 // last batch completes. Every (re)load into the warm tier bumps the
 // entry's generation counter; `version` keeps its publish-count meaning.
-//
-// Dtype split: with set_serve_dtype(nn::Dtype::kFloat32) every published
-// pipeline is additionally frozen into a float32 core::FrozenScorer and
-// GetScorer hands out that frozen snapshot. ".tgz1" artifacts carry their
-// own dtype and are served as-is.
 //
 // Redeploys: RefreshIfChanged re-stats the source file of every warm
 // file-backed model (and re-scans LoadDirectory directories) and
@@ -51,7 +49,6 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "core/frozen_scorer.h"
-#include "core/pipeline.h"
 #include "core/scorer.h"
 #include "nn/frozen.h"
 #include "serve/metrics.h"
@@ -99,10 +96,10 @@ class ModelRegistry {
  public:
   ModelRegistry() = default;
 
-  /// Dtype the serving path (GetScorer) runs in. kFloat64 (the default)
-  /// serves the pipeline itself; kFloat32 freezes every published pipeline
-  /// into a float32 FrozenScorer. Set before publishing: already-registered
-  /// models keep the scorer they were published with.
+  /// Dtype text pipelines are frozen to when they load. kFloat64 (the
+  /// default) scores bit-identically to `targad score`. ".tgz1"
+  /// artifacts and in-memory publishes carry their own dtype. Set before
+  /// loading: already-registered models keep the scorer they loaded with.
   void set_serve_dtype(nn::Dtype dtype) TARGAD_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     serve_dtype_ = dtype;
@@ -130,23 +127,25 @@ class ModelRegistry {
     metrics_ = metrics;
   }
 
-  /// Loads every "*.targad" / "*.model" (text pipeline) and "*.tgz1" (flat
-  /// frozen artifact) file in `dir` (model name = file stem) and remembers
-  /// `dir` for RefreshIfChanged re-scans. When a stem exists with both a
-  /// text and a ".tgz1" extension, the ".tgz1" wins (published last in the
-  /// sorted scan). Fails on an unreadable directory or an unloadable
-  /// artifact; models registered before the failure stay registered.
+  /// Loads every "*.targad" / "*.model" (text pipeline, frozen at
+  /// serve_dtype) and "*.tgz1" (flat frozen artifact) file in `dir` (model
+  /// name = file stem) and remembers `dir` for RefreshIfChanged re-scans.
+  /// When a stem exists with both a text and a ".tgz1" extension, the
+  /// ".tgz1" wins (published last in the sorted scan). Fails on an
+  /// unreadable directory or an unloadable artifact; models registered
+  /// before the failure stay registered.
   [[nodiscard]] Status LoadDirectory(const std::string& dir);
 
   /// Loads one artifact file (text pipeline or ".tgz1" by extension) and
-  /// publishes it under `name`.
+  /// publishes it under `name`. A text pipeline that cannot be frozen at
+  /// serve_dtype is a load error.
   [[nodiscard]] Status PublishFile(const std::string& name, const std::string& path);
 
-  /// Publishes an in-memory pipeline (atomic hot-swap if `name` exists).
-  /// The entry is pinned warm — there is no file to reload it from.
-  /// Returns the new version number.
+  /// Publishes an in-memory frozen scorer (atomic hot-swap if `name`
+  /// exists). The entry is pinned warm — there is no file to reload it
+  /// from. Returns the new version number.
   uint64_t Publish(const std::string& name,
-                   std::shared_ptr<const core::TargAdPipeline> pipeline,
+                   std::shared_ptr<const core::FrozenScorer> scorer,
                    const std::string& source = "(in-memory)");
 
   /// Re-stats every warm file-backed model and re-scans every
@@ -156,18 +155,11 @@ class ModelRegistry {
   /// number of models (re)published, or the first load error.
   [[nodiscard]] Result<size_t> RefreshIfChanged();
 
-  /// Current pipeline snapshot for `name`, or NotFound. Promotes a cold
-  /// text-backed entry; FailedPrecondition for ".tgz1" artifacts, which
-  /// carry no pipeline (use GetScorer). The snapshot is immutable and
-  /// remains valid after any subsequent Publish or eviction of the name.
-  [[nodiscard]] Result<std::shared_ptr<const core::TargAdPipeline>> Get(
-      const std::string& name);
-
-  /// Serving snapshot for `name`, or NotFound: the frozen scorer when one
-  /// exists (".tgz1" artifact, or float32 serve dtype), else the pipeline.
-  /// A warm entry is handed out under the lock (and touched in LRU order);
-  /// a cold entry is promoted first — the disk load runs outside the lock,
-  /// so concurrent lookups of warm models never stall behind it.
+  /// Frozen serving snapshot for `name`, or NotFound. The snapshot is
+  /// immutable and stays valid after any later Publish or eviction of the
+  /// name. A warm entry is handed out under the lock (and touched in LRU
+  /// order); a cold entry is promoted first — the disk load runs outside
+  /// the lock, so concurrent lookups of warm models never stall behind it.
   [[nodiscard]] Result<std::shared_ptr<const core::RowScorer>> GetScorer(
       const std::string& name);
 
@@ -192,10 +184,8 @@ class ModelRegistry {
 
  private:
   struct Entry {
-    std::shared_ptr<const core::TargAdPipeline> pipeline;
-    /// Frozen serving plan: always set for ".tgz1" artifacts, set for text
-    /// pipelines when they froze cleanly under a float32 serve dtype.
-    std::shared_ptr<const core::FrozenScorer> frozen;
+    /// The snapshot; null while the entry is cold.
+    std::shared_ptr<const core::FrozenScorer> scorer;
     uint64_t version = 0;
     uint64_t generation = 0;
     std::string source;
@@ -210,29 +200,22 @@ class ModelRegistry {
 
   /// What one disk load produced; installed under the lock afterwards.
   struct LoadedModel {
-    std::shared_ptr<const core::TargAdPipeline> pipeline;
-    std::shared_ptr<const core::FrozenScorer> frozen;
+    std::shared_ptr<const core::FrozenScorer> scorer;
     FileSignature sig{};
     bool stat_ok = false;  ///< False -> entry pinned warm (not refreshable).
     bool artifact = false;
   };
 
-  /// The two snapshot halves a promotion hands back to its caller.
-  struct SnapshotPair {
-    std::shared_ptr<const core::TargAdPipeline> pipeline;
-    std::shared_ptr<const core::FrozenScorer> frozen;
-  };
-
-  /// Reads `path` (text parse or artifact mmap by extension), freezing to
-  /// `serve_dtype` when applicable. Runs without mu_; records the load
-  /// latency into `metrics` when non-null.
+  /// Reads `path` (text parse + freeze to `serve_dtype`, or artifact mmap,
+  /// by extension). Runs without mu_; records the load latency into
+  /// `metrics` when non-null.
   [[nodiscard]] static Result<LoadedModel> LoadFromFile(
-      const std::string& name, const std::string& path, nn::Dtype serve_dtype,
-      ServeMetrics* metrics);
+      const std::string& path, nn::Dtype serve_dtype, ServeMetrics* metrics);
 
   /// Installs a loaded snapshot as the warm entry for `name`, bumping
   /// generation (and version when `bump_version`), updating LRU order and
-  /// evicting over capacity. Returns the entry's version.
+  /// evicting over capacity. A snapshot without a stat signature (an
+  /// in-memory publish) is pinned warm. Returns the entry's version.
   uint64_t InstallLocked(const std::string& name, LoadedModel loaded,
                          const std::string& source, bool bump_version)
       TARGAD_REQUIRES(mu_);
@@ -244,16 +227,16 @@ class ModelRegistry {
   /// exceeds warm_capacity_.
   void EvictOverCapacityLocked() TARGAD_REQUIRES(mu_);
 
-  /// Shared lookup behind Get/GetScorer/Info; nullptr when `name` is not
+  /// Shared lookup behind GetScorer/Info; nullptr when `name` is not
   /// registered. The pointer is only valid while mu_ stays held.
   Entry* FindLocked(const std::string& name) TARGAD_REQUIRES(mu_);
   const Entry* FindLocked(const std::string& name) const TARGAD_REQUIRES(mu_);
 
-  /// The cold half of Get/GetScorer: reloads `name` from `path` outside
-  /// the lock, installs it (unless the entry was removed concurrently),
-  /// and returns the freshly loaded snapshot parts.
-  [[nodiscard]] Result<SnapshotPair> PromoteAndInstall(const std::string& name,
-                                                       const std::string& path)
+  /// The cold half of GetScorer: reloads `name` from `path` outside the
+  /// lock, installs it (unless the entry was removed concurrently), and
+  /// returns the freshly loaded snapshot.
+  [[nodiscard]] Result<std::shared_ptr<const core::FrozenScorer>>
+  PromoteAndInstall(const std::string& name, const std::string& path)
       TARGAD_EXCLUDES(mu_);
 
   mutable RankedMutex mu_{LockRank::kModelRegistry};

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/frozen_scorer.h"
+#include "core/pipeline.h"
 #include "serve/metrics.h"
 #include "serve/model_registry.h"
 
@@ -61,9 +63,19 @@ std::shared_ptr<const core::TargAdPipeline> TrainPipeline(uint64_t seed) {
   return pipeline;
 }
 
-// Feature rows (no label column) plus the pipeline's serial scores.
+// The served snapshot of a trained pipeline: frozen at float64, which
+// scores bit-identically to the pipeline itself.
+std::shared_ptr<const core::FrozenScorer> Frozen(
+    const core::TargAdPipeline& pipeline) {
+  return std::make_shared<const core::FrozenScorer>(
+      pipeline.Freeze(nn::Dtype::kFloat64).ValueOrDie());
+}
+
+// Feature rows (no label column), the pipeline's serial scores (the
+// float64 oracle) and the frozen snapshot a BatchScorer serves.
 struct ScoringFixture {
   std::shared_ptr<const core::TargAdPipeline> pipeline;
+  std::shared_ptr<const core::FrozenScorer> scorer;
   std::vector<std::vector<std::string>> rows;
   std::vector<double> serial_scores;
 };
@@ -71,6 +83,7 @@ struct ScoringFixture {
 ScoringFixture MakeFixture(uint64_t seed, size_t n_rows) {
   ScoringFixture fx;
   fx.pipeline = TrainPipeline(seed);
+  fx.scorer = Frozen(*fx.pipeline);
   Rng rng(seed + 1000);
   data::RawTable table;
   table.column_names = fx.pipeline->feature_columns();
@@ -159,13 +172,21 @@ BatchScorer::NamedSnapshotProvider WithHoldModel(
   };
 }
 
-// Serves `pipeline` as the default model; other names are unknown.
+// Serves `scorer` as the default model; other names are unknown.
 BatchScorer::NamedSnapshotProvider DefaultOnly(
-    std::shared_ptr<const core::TargAdPipeline> pipeline) {
-  return [pipeline = std::move(pipeline)](const std::string& name)
+    std::shared_ptr<const core::RowScorer> scorer) {
+  return [scorer = std::move(scorer)](const std::string& name)
              -> std::shared_ptr<const core::RowScorer> {
     if (name != BatchScorer::kDefaultModel) return nullptr;
-    return pipeline;
+    return scorer;
+  };
+}
+
+// Serves every registered model by name.
+BatchScorer::NamedSnapshotProvider FromRegistry(ModelRegistry* registry) {
+  return [registry](const std::string& name) {
+    auto snapshot = registry->GetScorer(name);
+    return snapshot.ok() ? *snapshot : std::shared_ptr<const core::RowScorer>();
   };
 }
 
@@ -173,14 +194,15 @@ TEST(BatchScorerTest, SingleThreadMatchesSerialBitExact) {
   ScoringFixture fx = MakeFixture(7, 64);
   BatchScorerOptions options;
   options.max_batch_size = 16;
-  BatchScorer scorer(fx.pipeline, options);
+  BatchScorer scorer(DefaultOnly(fx.scorer), options);
   std::vector<std::future<Result<double>>> futures;
   for (const auto& row : fx.rows) futures.push_back(scorer.Submit(row));
   for (size_t i = 0; i < futures.size(); ++i) {
     Result<double> result = futures[i].get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    // Bit-identical, not approximately equal: the whole pipeline is
-    // row-independent, so batching must not change a single ULP.
+    // Bit-identical, not approximately equal: the float64 frozen scorer
+    // replays the pipeline's arithmetic and every stage is row-independent,
+    // so neither freezing nor batching may change a single ULP.
     EXPECT_EQ(*result, fx.serial_scores[i]) << "row " << i;
   }
 }
@@ -191,7 +213,7 @@ TEST(BatchScorerTest, ConcurrentSubmittersMatchSerialBitExact) {
   options.max_batch_size = 8;
   options.num_workers = 4;
   ServeMetrics metrics;
-  BatchScorer scorer(fx.pipeline, options, &metrics);
+  BatchScorer scorer(DefaultOnly(fx.scorer), options, &metrics);
 
   constexpr size_t kThreads = 8;
   constexpr int kRounds = 5;
@@ -233,19 +255,15 @@ TEST(BatchScorerTest, ScoresStayCorrectAcrossHotSwap) {
   for (const auto& row : fx_a.rows) table.rows.push_back(row);
   const std::vector<double> serial_b = pipeline_b->Score(table).ValueOrDie();
 
+  const auto frozen_b = Frozen(*pipeline_b);
+
   ModelRegistry registry;
-  registry.Publish("m", fx_a.pipeline);
+  registry.Publish(BatchScorer::kDefaultModel, fx_a.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 8;
   options.num_workers = 2;
   ServeMetrics metrics;
-  BatchScorer scorer(
-      [&registry] {
-        auto snapshot = registry.Get("m");
-        return snapshot.ok() ? *snapshot
-                             : std::shared_ptr<const core::TargAdPipeline>();
-      },
-      options, &metrics);
+  BatchScorer scorer(FromRegistry(&registry), options, &metrics);
 
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
@@ -269,7 +287,8 @@ TEST(BatchScorerTest, ScoresStayCorrectAcrossHotSwap) {
   // Swap back and forth while traffic flows.
   for (int swap = 0; swap < 6; ++swap) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    registry.Publish("m", swap % 2 == 0 ? pipeline_b : fx_a.pipeline);
+    registry.Publish(BatchScorer::kDefaultModel,
+                     swap % 2 == 0 ? frozen_b : fx_a.scorer);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   stop.store(true);
@@ -281,7 +300,7 @@ TEST(BatchScorerTest, ScoresStayCorrectAcrossHotSwap) {
 
 TEST(BatchScorerTest, OverloadRejectsWithResourceExhausted) {
   ScoringFixture fx = MakeFixture(31, 8);
-  auto gate = std::make_shared<const GatedScorer>(fx.pipeline);
+  auto gate = std::make_shared<const GatedScorer>(fx.scorer);
   BatchScorerOptions options;
   // One held row parks the only worker at the gate, so every row after it
   // queues and the queue backs up past its bound of 4 deterministically.
@@ -289,7 +308,7 @@ TEST(BatchScorerTest, OverloadRejectsWithResourceExhausted) {
   options.max_queue_rows = 4;
   options.max_queue_delay_us = 30'000'000;
   ServeMetrics metrics;
-  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.pipeline)), options,
+  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.scorer)), options,
                      &metrics);
   OpenAtExit open_gate(gate.get());
 
@@ -326,11 +345,11 @@ TEST(BatchScorerTest, OverloadRejectsWithResourceExhausted) {
 
 TEST(BatchScorerTest, MalformedRowFailsAloneInItsBatch) {
   ScoringFixture fx = MakeFixture(41, 8);
-  auto gate = std::make_shared<const GatedScorer>(fx.pipeline);
+  auto gate = std::make_shared<const GatedScorer>(fx.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 8;
   ServeMetrics metrics;
-  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.pipeline)), options,
+  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.scorer)), options,
                      &metrics);
   OpenAtExit open_gate(gate.get());
 
@@ -371,7 +390,8 @@ TEST(BatchScorerTest, MalformedRowFailsAloneInItsBatch) {
 TEST(BatchScorerTest, NoModelFailsWithFailedPrecondition) {
   BatchScorerOptions options;
   BatchScorer scorer(
-      [] { return std::shared_ptr<const core::TargAdPipeline>(); }, options);
+      [](const std::string&) { return std::shared_ptr<const core::RowScorer>(); },
+      options);
   Result<double> result = scorer.Submit({"1", "2", "web"}).get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
@@ -389,20 +409,15 @@ TEST(BatchScorerTest, RoutesRowsToNamedModels) {
   const std::vector<double> serial_b = pipeline_b->Score(table).ValueOrDie();
 
   ModelRegistry registry;
-  registry.Publish("default", fx_a.pipeline);
-  registry.Publish("candidate", pipeline_b);
+  registry.Publish("default", fx_a.scorer);
+  registry.Publish("candidate", Frozen(*pipeline_b));
 
-  auto gate = std::make_shared<const GatedScorer>(fx_a.pipeline);
+  auto gate = std::make_shared<const GatedScorer>(fx_a.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 32;  // Both models fit one batch.
   ServeMetrics metrics;
-  BatchScorer scorer(
-      WithHoldModel(gate, [&registry](const std::string& name) {
-        auto snapshot = registry.GetScorer(name);
-        return snapshot.ok() ? *snapshot
-                             : std::shared_ptr<const core::RowScorer>();
-      }),
-      options, &metrics);
+  BatchScorer scorer(WithHoldModel(gate, FromRegistry(&registry)), options,
+                     &metrics);
   OpenAtExit open_gate(gate.get());
 
   // Every row queues behind the held row, so both models share a batch.
@@ -440,19 +455,14 @@ TEST(BatchScorerTest, RoutesRowsToNamedModels) {
 TEST(BatchScorerTest, UnknownModelFailsItsRowsNotTheBatch) {
   ScoringFixture fx = MakeFixture(71, 8);
   ModelRegistry registry;
-  registry.Publish("default", fx.pipeline);
+  registry.Publish("default", fx.scorer);
 
-  auto gate = std::make_shared<const GatedScorer>(fx.pipeline);
+  auto gate = std::make_shared<const GatedScorer>(fx.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 8;
   ServeMetrics metrics;
-  BatchScorer scorer(
-      WithHoldModel(gate, [&registry](const std::string& name) {
-        auto snapshot = registry.GetScorer(name);
-        return snapshot.ok() ? *snapshot
-                             : std::shared_ptr<const core::RowScorer>();
-      }),
-      options, &metrics);
+  BatchScorer scorer(WithHoldModel(gate, FromRegistry(&registry)), options,
+                     &metrics);
   OpenAtExit open_gate(gate.get());
 
   // The three rows queue behind the held row: one batch mixing both groups.
@@ -509,7 +519,7 @@ TEST(BatchScorerTest, Float32SnapshotsServeWithinTolerance) {
 
 TEST(BatchScorerTest, SubmitAfterShutdownFails) {
   ScoringFixture fx = MakeFixture(51, 4);
-  BatchScorer scorer(fx.pipeline, BatchScorerOptions{});
+  BatchScorer scorer(DefaultOnly(fx.scorer), BatchScorerOptions{});
   scorer.Shutdown();
   Result<double> result = scorer.Submit(fx.rows[0]).get();
   ASSERT_FALSE(result.ok());
@@ -528,7 +538,7 @@ TEST(BatchScorerDispatchTest, IdleScorerIgnoresTheWindow) {
     options.max_batch_size = 64;
     options.max_queue_delay_us = 30'000'000;
     options.num_workers = workers;
-    BatchScorer scorer(fx.pipeline, options);
+    BatchScorer scorer(DefaultOnly(fx.scorer), options);
     for (size_t i = 0; i < fx.rows.size(); ++i) {
       std::future<Result<double>> future = scorer.Submit(fx.rows[i]);
       ASSERT_EQ(future.wait_for(std::chrono::seconds(1)),
@@ -546,13 +556,13 @@ TEST(BatchScorerDispatchTest, RowsCoalesceBehindARunningBatch) {
   ScoringFixture fx = MakeFixture(93, kQueued);
   for (size_t workers : {1, 2}) {
     SCOPED_TRACE(workers);
-    auto gate = std::make_shared<const GatedScorer>(fx.pipeline);
+    auto gate = std::make_shared<const GatedScorer>(fx.scorer);
     BatchScorerOptions options;
     options.max_batch_size = 8;  // More than kQueued: the batch never fills.
     options.max_queue_delay_us = 30'000'000;
     options.num_workers = workers;
     ServeMetrics metrics;
-    BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.pipeline)), options,
+    BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.scorer)), options,
                        &metrics);
     OpenAtExit open_gate(gate.get());
 
@@ -581,12 +591,12 @@ TEST(BatchScorerDispatchTest, RowsCoalesceBehindARunningBatch) {
 
 TEST(BatchScorerDispatchTest, RowBehindARunningBatchWaitsAtMostTheWindow) {
   ScoringFixture fx = MakeFixture(97, 2);
-  auto gate = std::make_shared<const GatedScorer>(fx.pipeline);
+  auto gate = std::make_shared<const GatedScorer>(fx.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 64;
   options.max_queue_delay_us = 20'000;
   options.num_workers = 2;
-  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.pipeline)), options);
+  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.scorer)), options);
   OpenAtExit open_gate(gate.get());
 
   std::future<Result<double>> held = scorer.Submit(kHoldModel, fx.rows[0]);
@@ -609,12 +619,12 @@ TEST(BatchScorerDispatchTest, RowBehindARunningBatchWaitsAtMostTheWindow) {
 TEST(BatchScorerDispatchTest, ShutdownWhileCoalescingDrainsEveryRow) {
   constexpr size_t kQueued = 5;
   ScoringFixture fx = MakeFixture(95, kQueued);
-  auto gate = std::make_shared<const GatedScorer>(fx.pipeline);
+  auto gate = std::make_shared<const GatedScorer>(fx.scorer);
   BatchScorerOptions options;
   options.max_batch_size = 64;
   options.max_queue_delay_us = 30'000'000;
   options.num_workers = 2;
-  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.pipeline)), options);
+  BatchScorer scorer(WithHoldModel(gate, DefaultOnly(fx.scorer)), options);
   OpenAtExit open_gate(gate.get());
 
   // One worker is held at the gate; the other coalesces behind it.

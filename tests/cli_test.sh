@@ -157,6 +157,25 @@ awk '/registry:/ {evictions=$6; loads=$8;
 "$CLI" serve --model m.model --warm 0 --in data_test.csv \
   --out /dev/null >/dev/null 2>&1 && fail "warm 0 accepted"
 
+# Integer flags are checked at startup: a value that is not an integer or
+# is out of range exits 1 with an error naming the flag. It must neither
+# abort (a negative count cast to size_t), nor fall back to the default,
+# nor truncate (a port past 65535). stdin is empty, so a stdio value that
+# slipped through exits 0; a --tcp one would listen until `timeout` ends it.
+for bad in "--workers -1" "--workers four" "--batch -3" "--queue -1" \
+           "--max-conns -1" "--max-line -1" "--max-inflight -1" \
+           "--tcp 70000" "--tcp -1" "--batch 99999999999" "--delay-us 1.5"; do
+  flag=${bad%% *}
+  # shellcheck disable=SC2086  # $bad is a flag and its value.
+  err=$(timeout 20 "$CLI" serve --model m.model $bad 2>&1 </dev/null)
+  code=$?
+  [ "$code" -eq 1 ] || fail "serve $bad exited $code, want 1"
+  case "$err" in
+    "error: $flag must be an integer in ["*) ;;
+    *) fail "serve $bad error unhelpful: $err" ;;
+  esac
+done
+
 # Graceful stdio drain: SIGTERM while the input pipe is still open must
 # stop reading, resolve every in-flight row, write its score, and exit 0.
 mkfifo drain_fifo

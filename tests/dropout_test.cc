@@ -6,7 +6,6 @@
 
 #include "nn/kernels/kernels.h"
 #include "nn/layers.h"
-#include "nn/lr_schedule.h"
 #include "nn/sequential.h"
 
 namespace targad {
@@ -121,48 +120,6 @@ TEST(DropoutTest, SequentialSetTrainingDispatches) {
   for (size_t i = 0; i < y1.size(); ++i) {
     EXPECT_DOUBLE_EQ(y1.data()[i], y2.data()[i]);
   }
-}
-
-TEST(LrScheduleTest, ConstantIsConstant) {
-  ConstantLr lr(0.01);
-  EXPECT_DOUBLE_EQ(lr.Rate(0), 0.01);
-  EXPECT_DOUBLE_EQ(lr.Rate(100000), 0.01);
-}
-
-TEST(LrScheduleTest, StepDecayHalvesOnSchedule) {
-  auto lr = StepDecayLr::Make(0.1, 10, 0.5).ValueOrDie();
-  EXPECT_DOUBLE_EQ(lr.Rate(0), 0.1);
-  EXPECT_DOUBLE_EQ(lr.Rate(9), 0.1);
-  EXPECT_DOUBLE_EQ(lr.Rate(10), 0.05);
-  EXPECT_DOUBLE_EQ(lr.Rate(25), 0.025);
-}
-
-TEST(LrScheduleTest, CosineEndpointsAndMonotonicity) {
-  auto lr = CosineLr::Make(0.1, 0.01, 100).ValueOrDie();
-  EXPECT_NEAR(lr.Rate(0), 0.1, 1e-12);
-  EXPECT_NEAR(lr.Rate(100), 0.01, 1e-12);
-  EXPECT_NEAR(lr.Rate(1000), 0.01, 1e-12);  // Clamped past the horizon.
-  for (size_t s = 1; s <= 100; ++s) {
-    EXPECT_LE(lr.Rate(s), lr.Rate(s - 1) + 1e-12);
-  }
-  EXPECT_NEAR(lr.Rate(50), 0.5 * (0.1 + 0.01), 1e-9);  // Midpoint.
-}
-
-TEST(LrScheduleTest, WarmupRampsLinearly) {
-  auto lr = WarmupLr::Make(0.2, 4).ValueOrDie();
-  EXPECT_NEAR(lr.Rate(0), 0.05, 1e-12);
-  EXPECT_NEAR(lr.Rate(1), 0.10, 1e-12);
-  EXPECT_NEAR(lr.Rate(3), 0.20, 1e-12);
-  EXPECT_NEAR(lr.Rate(99), 0.20, 1e-12);
-}
-
-TEST(LrScheduleTest, FactoriesValidate) {
-  EXPECT_FALSE(StepDecayLr::Make(0.0, 10, 0.5).ok());
-  EXPECT_FALSE(StepDecayLr::Make(0.1, 0, 0.5).ok());
-  EXPECT_FALSE(StepDecayLr::Make(0.1, 10, 1.5).ok());
-  EXPECT_FALSE(CosineLr::Make(0.1, 0.2, 100).ok());
-  EXPECT_FALSE(CosineLr::Make(0.1, 0.01, 0).ok());
-  EXPECT_FALSE(WarmupLr::Make(0.1, 0).ok());
 }
 
 }  // namespace

@@ -156,14 +156,6 @@ TEST(FrozenCalibrationTest, FrozenScorerDropsLabelColumnLikeThePipeline) {
   for (size_t i = 0; i < bare.size(); ++i) EXPECT_EQ(bare[i], labeled[i]);
 }
 
-TEST(FrozenCalibrationTest, FreezeBeforeFitFails) {
-  TargADConfig config;
-  auto model = TargAD::Make(config).ValueOrDie();
-  auto plan = model.Freeze(nn::Dtype::kFloat32);
-  ASSERT_FALSE(plan.ok());
-  EXPECT_EQ(plan.status().code(), StatusCode::kFailedPrecondition);
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace targad

@@ -45,9 +45,9 @@ TEST(FrozenNetTest, DoubleFreezeIsBitIdenticalToInfer) {
   // Training-mode Dropout state must not leak into the frozen plan.
   net.SetTraining(true);
 
-  auto plan = InferencePlan::Freeze(net, Dtype::kFloat64);
+  auto plan = FrozenNet::Freeze(net);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->dtype(), Dtype::kFloat64);
+  EXPECT_TRUE(plan->owns_storage());
   EXPECT_EQ(plan->input_dim(), 6u);
   EXPECT_EQ(plan->output_dim(), 4u);
   // Dropout vanishes, activations fuse: one step per Linear.
@@ -72,7 +72,7 @@ TEST(FrozenNetTest, EachActivationFreezesBitIdentical) {
   for (Activation act : activations) {
     Rng rng(7 + static_cast<int>(act));
     Sequential net = Sequential::MakeMlp({5, 8, 3}, act, Activation::kNone, &rng);
-    auto plan = InferencePlan::Freeze(net, Dtype::kFloat64);
+    auto plan = FrozenNet::Freeze(net);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const Matrix x = RandomBatch(&rng, 9, 5);
     const Matrix expected = net.Infer(x);
@@ -87,13 +87,16 @@ TEST(FrozenNetTest, EachActivationFreezesBitIdentical) {
 TEST(FrozenNetTest, Float32FreezeIsCloseToDouble) {
   Rng rng(2);
   Sequential net = MakeZoo(&rng);
-  auto plan = InferencePlan::Freeze(net, Dtype::kFloat32);
+  auto plan = FrozenNetF::Freeze(net);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->dtype(), Dtype::kFloat32);
+  EXPECT_EQ(plan->num_steps(), 5u);
 
   const Matrix x = RandomBatch(&rng, 33, 6);
   const Matrix expected = net.Infer(x);
-  const Matrix got = plan->Infer(x);
+  // Narrow the input, run the float32 fused loop, widen the output back.
+  const Matrix got = CastMatrix<double>(plan->Infer(CastMatrix<float>(x)));
+  ASSERT_EQ(got.rows(), expected.rows());
+  ASSERT_EQ(got.cols(), expected.cols());
   double max_abs_delta = 0.0;
   for (size_t i = 0; i < expected.size(); ++i) {
     const double delta = std::abs(got.data()[i] - expected.data()[i]);
@@ -105,13 +108,15 @@ TEST(FrozenNetTest, Float32FreezeIsCloseToDouble) {
   EXPECT_GT(max_abs_delta, 0.0);  // It IS a different precision.
 }
 
-TEST(FrozenNetTest, RejectsUnsupportedArchitectures) {
+// Both element types share one Freeze; each must reject the same nets.
+template <typename T>
+void ExpectUnsupportedArchitecturesRejected() {
   Rng rng(3);
   {
     Sequential leading_activation;
     leading_activation.Add(std::make_unique<ReLU>());
     leading_activation.Add(std::make_unique<Linear>(4, 2, &rng));
-    auto plan = InferencePlan::Freeze(leading_activation, Dtype::kFloat64);
+    auto plan = FrozenNetT<T>::Freeze(leading_activation);
     ASSERT_FALSE(plan.ok());
     EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   }
@@ -120,27 +125,37 @@ TEST(FrozenNetTest, RejectsUnsupportedArchitectures) {
     double_activation.Add(std::make_unique<Linear>(4, 2, &rng));
     double_activation.Add(std::make_unique<ReLU>());
     double_activation.Add(std::make_unique<Tanh>());
-    auto plan = InferencePlan::Freeze(double_activation, Dtype::kFloat64);
+    auto plan = FrozenNetT<T>::Freeze(double_activation);
     ASSERT_FALSE(plan.ok());
     EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   }
   {
     Sequential empty;
-    auto plan = InferencePlan::Freeze(empty, Dtype::kFloat64);
+    auto plan = FrozenNetT<T>::Freeze(empty);
     ASSERT_FALSE(plan.ok());
     EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+TEST(FrozenNetTest, RejectsUnsupportedArchitectures) {
+  ExpectUnsupportedArchitecturesRejected<double>();
+  ExpectUnsupportedArchitecturesRejected<float>();
 }
 
 TEST(FrozenNetTest, ReportsFrozenDimensions) {
   Rng rng(4);
   Sequential net = Sequential::MakeMlp({5, 8, 3}, Activation::kReLU,
                                        Activation::kNone, &rng);
-  auto plan = InferencePlan::Freeze(net, Dtype::kFloat64);
+  auto plan = FrozenNet::Freeze(net);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->input_dim(), 5u);
   EXPECT_EQ(plan->output_dim(), 3u);
   EXPECT_EQ(plan->num_steps(), 2u);
+  auto narrow = FrozenNetF::Freeze(net);
+  ASSERT_TRUE(narrow.ok());
+  EXPECT_EQ(narrow->input_dim(), 5u);
+  EXPECT_EQ(narrow->output_dim(), 3u);
+  EXPECT_EQ(narrow->num_steps(), 2u);
 }
 
 // Concurrent scoring of one shared frozen plan; run under TSan (the
@@ -149,17 +164,17 @@ TEST(FrozenNetTest, ReportsFrozenDimensions) {
 TEST(FrozenNetTest, ConcurrentInferenceIsRaceFreeAndDeterministic) {
   Rng rng(5);
   Sequential net = MakeZoo(&rng);
-  auto plan = InferencePlan::Freeze(net, Dtype::kFloat32);
+  auto plan = FrozenNetF::Freeze(net);
   ASSERT_TRUE(plan.ok());
-  const Matrix x = RandomBatch(&rng, 8, 6);
-  const Matrix reference = plan->Infer(x);
+  const MatrixT<float> x = CastMatrix<float>(RandomBatch(&rng, 8, 6));
+  const MatrixT<float> reference = plan->Infer(x);
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&] {
       for (int round = 0; round < 50; ++round) {
-        const Matrix y = plan->Infer(x);
+        const MatrixT<float> y = plan->Infer(x);
         for (size_t i = 0; i < reference.size(); ++i) {
           if (y.data()[i] != reference.data()[i]) {
             mismatches.fetch_add(1);

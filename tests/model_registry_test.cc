@@ -14,6 +14,8 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/frozen_scorer.h"
+#include "core/pipeline.h"
 
 namespace targad {
 namespace serve {
@@ -45,21 +47,44 @@ core::PipelineConfig FastConfig(uint64_t seed) {
   return config;
 }
 
-std::shared_ptr<const core::TargAdPipeline> TrainPipeline(uint64_t seed) {
-  auto pipeline =
-      core::TargAdPipeline::Train(MakeTrainingTable(seed), FastConfig(seed));
-  return std::make_shared<const core::TargAdPipeline>(
-      std::move(pipeline).ValueOrDie());
+core::TargAdPipeline TrainPipeline(uint64_t seed) {
+  return core::TargAdPipeline::Train(MakeTrainingTable(seed), FastConfig(seed))
+      .ValueOrDie();
+}
+
+// An in-memory serving snapshot: a trained pipeline frozen at `dtype`.
+std::shared_ptr<const core::FrozenScorer> TrainFrozen(
+    uint64_t seed, nn::Dtype dtype = nn::Dtype::kFloat64) {
+  return std::make_shared<const core::FrozenScorer>(
+      TrainPipeline(seed).Freeze(dtype).ValueOrDie());
 }
 
 // A serialized pipeline artifact, as `targad train` would write it.
 std::string SavedArtifact(uint64_t seed) {
-  auto pipeline =
-      core::TargAdPipeline::Train(MakeTrainingTable(seed), FastConfig(seed))
-          .ValueOrDie();
+  auto pipeline = TrainPipeline(seed);
   std::stringstream buffer;
   TARGAD_CHECK_OK(pipeline.Save(buffer));
   return buffer.str();
+}
+
+// The registry's snapshots are FrozenScorers behind the RowScorer
+// interface BatchScorer consumes.
+const core::FrozenScorer* AsFrozen(
+    const std::shared_ptr<const core::RowScorer>& scorer) {
+  return dynamic_cast<const core::FrozenScorer*>(scorer.get());
+}
+
+// Feature rows (no label column) around both training clusters.
+data::RawTable ScoringRows(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  data::RawTable rows;
+  rows.column_names = {"x", "y"};
+  for (size_t i = 0; i < n; ++i) {
+    const double center = rng.Bernoulli(0.2) ? 5.0 : 0.0;
+    rows.rows.push_back({std::to_string(rng.Normal(center, 1.0)),
+                         std::to_string(rng.Normal(center, 1.0))});
+  }
+  return rows;
 }
 
 class TempDir {
@@ -83,18 +108,18 @@ class TempDir {
 
 int TempDir::counter_ = 0;
 
-TEST(ModelRegistryTest, PublishGetAndVersioning) {
+TEST(ModelRegistryTest, PublishGetScorerAndVersioning) {
   ModelRegistry registry;
-  auto pipeline_v1 = TrainPipeline(1);
-  EXPECT_EQ(registry.Publish("fraud", pipeline_v1), 1u);
+  auto frozen_v1 = TrainFrozen(1);
+  EXPECT_EQ(registry.Publish("fraud", frozen_v1), 1u);
   EXPECT_EQ(registry.size(), 1u);
 
-  auto snapshot = registry.Get("fraud");
+  auto snapshot = registry.GetScorer("fraud");
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(snapshot->get(), pipeline_v1.get());
+  EXPECT_EQ(AsFrozen(*snapshot), frozen_v1.get());
 
-  auto pipeline_v2 = TrainPipeline(2);
-  EXPECT_EQ(registry.Publish("fraud", pipeline_v2), 2u);
+  auto frozen_v2 = TrainFrozen(2);
+  EXPECT_EQ(registry.Publish("fraud", frozen_v2), 2u);
   auto info = registry.Info("fraud");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->version, 2u);
@@ -108,9 +133,9 @@ TEST(ModelRegistryTest, PublishGetAndVersioning) {
   EXPECT_EQ(scores->size(), 1u);
 }
 
-TEST(ModelRegistryTest, GetUnknownIsNotFound) {
+TEST(ModelRegistryTest, GetScorerUnknownIsNotFound) {
   ModelRegistry registry;
-  EXPECT_EQ(registry.Get("nope").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.GetScorer("nope").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.Info("nope").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.Remove("nope").code(), StatusCode::kNotFound);
 }
@@ -129,9 +154,10 @@ TEST(ModelRegistryTest, LoadDirectoryRegistersArtifactsByStem) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.LoadDirectory(dir.path().string()).ok());
   EXPECT_EQ(registry.size(), 2u);
-  EXPECT_TRUE(registry.Get("alpha").ok());
-  EXPECT_TRUE(registry.Get("beta").ok());
-  EXPECT_EQ(registry.Get("notes").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(registry.GetScorer("alpha").ok());
+  EXPECT_TRUE(registry.GetScorer("beta").ok());
+  EXPECT_EQ(registry.GetScorer("notes").status().code(),
+            StatusCode::kNotFound);
 
   const std::vector<ModelInfo> models = registry.List();
   ASSERT_EQ(models.size(), 2u);
@@ -155,42 +181,67 @@ TEST(ModelRegistryTest, LoadDirectoryOnMissingDirIsNotFound) {
             StatusCode::kNotFound);
 }
 
-TEST(ModelRegistryTest, GetScorerServesPipelineUnderFloat64) {
-  ModelRegistry registry;
-  auto pipeline = TrainPipeline(6);
-  registry.Publish("m", pipeline);
+TEST(ModelRegistryTest, TextModelServesFrozenFloat64BitIdentical) {
+  TempDir dir;
+  const fs::path path = dir.path() / "m.targad";
+  {
+    std::ofstream out(path);
+    out << SavedArtifact(6);
+  }
+  ModelRegistry registry;  // Default serve dtype: float64.
+  ASSERT_TRUE(registry.PublishFile("m", path.string()).ok());
   auto scorer = registry.GetScorer("m");
-  ASSERT_TRUE(scorer.ok());
-  // Default dtype is float64: the serving snapshot IS the pipeline.
-  EXPECT_EQ(scorer->get(), static_cast<const core::RowScorer*>(pipeline.get()));
-  EXPECT_EQ(registry.GetScorer("nope").status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  // The text model was frozen at load: the snapshot is a FrozenScorer...
+  const core::FrozenScorer* frozen = AsFrozen(*scorer);
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat64);
+  EXPECT_FALSE(frozen->mapped());
+
+  // ...whose scores equal, bit for bit, the pipeline parsed from the same
+  // file — the float64 oracle `targad score` runs.
+  std::ifstream in(path);
+  const auto pipeline = core::TargAdPipeline::Load(in).ValueOrDie();
+  const data::RawTable rows = ScoringRows(60, 200);
+  const std::vector<double> exact = pipeline.Score(rows).ValueOrDie();
+  const std::vector<double> served = (*scorer)->Score(rows).ValueOrDie();
+  ASSERT_EQ(served.size(), exact.size());
+  for (size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(served[i], exact[i]) << "row " << i;
+  }
 }
 
-TEST(ModelRegistryTest, Float32DtypeServesFrozenScorer) {
+TEST(ModelRegistryTest, TextModelServesFrozenFloat32WithinTolerance) {
+  TempDir dir;
+  const fs::path path = dir.path() / "m.targad";
+  {
+    std::ofstream out(path);
+    out << SavedArtifact(7);
+  }
   ModelRegistry registry;
   registry.set_serve_dtype(nn::Dtype::kFloat32);
-  auto pipeline = TrainPipeline(7);
-  registry.Publish("m", pipeline);
-
+  ASSERT_TRUE(registry.PublishFile("m", path.string()).ok());
   auto scorer = registry.GetScorer("m");
-  ASSERT_TRUE(scorer.ok());
-  // The serving snapshot is the frozen plan, not the pipeline...
-  EXPECT_NE(scorer->get(), static_cast<const core::RowScorer*>(pipeline.get()));
-  // ...while Get still hands out the full-precision pipeline.
-  EXPECT_EQ(registry.Get("m")->get(), pipeline.get());
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  const core::FrozenScorer* frozen = AsFrozen(*scorer);
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat32);
 
-  data::RawTable rows;
-  rows.column_names = {"x", "y"};
-  rows.rows.push_back({"0.5", "0.5"});
-  rows.rows.push_back({"4.8", "5.1"});
-  auto frozen_scores = (*scorer)->Score(rows);
-  auto exact_scores = pipeline->Score(rows);
-  ASSERT_TRUE(frozen_scores.ok()) << frozen_scores.status().ToString();
-  ASSERT_TRUE(exact_scores.ok());
-  ASSERT_EQ(frozen_scores->size(), exact_scores->size());
-  for (size_t i = 0; i < exact_scores->size(); ++i) {
-    EXPECT_NEAR((*frozen_scores)[i], (*exact_scores)[i], 1e-4) << "row " << i;
+  std::ifstream in(path);
+  const auto pipeline = core::TargAdPipeline::Load(in).ValueOrDie();
+  const data::RawTable rows = ScoringRows(70, 200);
+  const std::vector<double> exact = pipeline.Score(rows).ValueOrDie();
+  const std::vector<double> served = (*scorer)->Score(rows).ValueOrDie();
+  ASSERT_EQ(served.size(), exact.size());
+  for (size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_NEAR(served[i], exact[i], 1e-4) << "row " << i;
   }
+
+  // serve_dtype applies to text loads only: an in-memory publish keeps the
+  // dtype it was frozen at.
+  registry.Publish("wide", TrainFrozen(8, nn::Dtype::kFloat64));
+  EXPECT_EQ(AsFrozen(registry.GetScorer("wide").ValueOrDie())->dtype(),
+            nn::Dtype::kFloat64);
 }
 
 TEST(ModelRegistryTest, RefreshIfChangedReloadsOverwrittenArtifacts) {
@@ -211,7 +262,7 @@ TEST(ModelRegistryTest, RefreshIfChangedReloadsOverwrittenArtifacts) {
 
   // Overwrite the artifact and force a newer mtime (filesystem timestamp
   // granularity can swallow a fast rewrite).
-  auto old_snapshot = registry.Get("live").ValueOrDie();
+  auto old_snapshot = registry.GetScorer("live").ValueOrDie();
   {
     std::ofstream out(path);
     out << SavedArtifact(9);
@@ -224,7 +275,7 @@ TEST(ModelRegistryTest, RefreshIfChangedReloadsOverwrittenArtifacts) {
   EXPECT_EQ(*refreshed, 1u);
   EXPECT_EQ(registry.Info("live")->version, 2u);
   // Hot-swap semantics: the new snapshot differs, the old one stays valid.
-  auto new_snapshot = registry.Get("live").ValueOrDie();
+  auto new_snapshot = registry.GetScorer("live").ValueOrDie();
   EXPECT_NE(new_snapshot.get(), old_snapshot.get());
   data::RawTable row;
   row.column_names = {"x", "y"};
@@ -254,7 +305,7 @@ TEST(ModelRegistryTest, RefreshCatchesSameTimestampRewrite) {
 
   ModelRegistry registry;
   ASSERT_TRUE(registry.PublishFile("fast", path.string()).ok());
-  auto old_snapshot = registry.Get("fast").ValueOrDie();
+  auto old_snapshot = registry.GetScorer("fast").ValueOrDie();
 
   // Rewrite with different bytes (a second pipeline differs in size: the
   // serialized weights are decimal text) and restore the old timestamp, as
@@ -271,7 +322,7 @@ TEST(ModelRegistryTest, RefreshCatchesSameTimestampRewrite) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_EQ(*refreshed, 1u);
   EXPECT_EQ(registry.Info("fast")->version, 2u);
-  EXPECT_NE(registry.Get("fast").ValueOrDie().get(), old_snapshot.get());
+  EXPECT_NE(registry.GetScorer("fast").ValueOrDie().get(), old_snapshot.get());
 }
 
 TEST(ModelRegistryTest, RefreshIfChangedPicksUpNewFilesInWatchedDirs) {
@@ -292,7 +343,7 @@ TEST(ModelRegistryTest, RefreshIfChangedPicksUpNewFilesInWatchedDirs) {
   ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
   EXPECT_EQ(*refreshed, 1u);
   EXPECT_EQ(registry.size(), 2u);
-  EXPECT_TRUE(registry.Get("second").ok());
+  EXPECT_TRUE(registry.GetScorer("second").ok());
 }
 
 TEST(ModelRegistryTest, RefreshIfChangedKeepsVanishedArtifactsServing) {
@@ -309,29 +360,29 @@ TEST(ModelRegistryTest, RefreshIfChangedKeepsVanishedArtifactsServing) {
   ASSERT_TRUE(refreshed.ok());
   EXPECT_EQ(*refreshed, 0u);
   // The last good snapshot stays registered and scoreable.
-  EXPECT_TRUE(registry.Get("gone").ok());
+  EXPECT_TRUE(registry.GetScorer("gone").ok());
 }
 
-TEST(ModelRegistryTest, ConcurrentPublishAndGetKeepSnapshotsIntact) {
+TEST(ModelRegistryTest, ConcurrentPublishAndGetScorerKeepSnapshotsIntact) {
   ModelRegistry registry;
-  auto pipeline_a = TrainPipeline(4);
-  auto pipeline_b = TrainPipeline(5);
-  registry.Publish("m", pipeline_a);
+  auto frozen_a = TrainFrozen(4);
+  auto frozen_b = TrainFrozen(5);
+  registry.Publish("m", frozen_a);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 200; ++i) {
-        auto snapshot = registry.Get("m");
+        auto snapshot = registry.GetScorer("m");
         ASSERT_TRUE(snapshot.ok());
-        const core::TargAdPipeline* raw = snapshot->get();
-        // Every observed snapshot is one of the two published pipelines.
-        ASSERT_TRUE(raw == pipeline_a.get() || raw == pipeline_b.get());
+        const core::FrozenScorer* raw = AsFrozen(*snapshot);
+        // Every observed snapshot is one of the two published scorers.
+        ASSERT_TRUE(raw == frozen_a.get() || raw == frozen_b.get());
       }
     });
   }
   for (int i = 0; i < 50; ++i) {
-    registry.Publish("m", i % 2 == 0 ? pipeline_b : pipeline_a);
+    registry.Publish("m", i % 2 == 0 ? frozen_b : frozen_a);
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(registry.Info("m")->version, 51u);

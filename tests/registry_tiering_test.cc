@@ -185,12 +185,13 @@ TEST(RegistryTieringTest, InFlightSnapshotStaysValidAcrossEviction) {
   EXPECT_FALSE(registry.GetScorer("a").ok());
 }
 
-TEST(RegistryTieringTest, TextBackedEntriesPromoteThroughBothAccessors) {
+TEST(RegistryTieringTest, TextBackedEntriesPromoteAsFrozenScorers) {
   TempDir dir;
   WriteTextModel(dir.path() / "a.targad", 1);
   WriteTextModel(dir.path() / "b.targad", 2);
 
   ModelRegistry registry;
+  registry.set_serve_dtype(nn::Dtype::kFloat32);
   registry.set_warm_capacity(1);
   ASSERT_TRUE(
       registry.PublishFile("a", (dir.path() / "a.targad").string()).ok());
@@ -198,11 +199,16 @@ TEST(RegistryTieringTest, TextBackedEntriesPromoteThroughBothAccessors) {
       registry.PublishFile("b", (dir.path() / "b.targad").string()).ok());
   ASSERT_FALSE(registry.Info("a")->warm);
 
-  // Get (the pipeline accessor) also promotes a cold text entry.
-  auto pipeline = registry.Get("a");
-  ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
-  EXPECT_TRUE((*pipeline)->Score(OneRow()).ok());
+  // Promoting a cold text entry parses the file again and freezes it at
+  // the serve dtype, like the first load did.
+  auto scorer = registry.GetScorer("a");
+  ASSERT_TRUE(scorer.ok()) << scorer.status().ToString();
+  const auto* frozen = dynamic_cast<const core::FrozenScorer*>(scorer->get());
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat32);
+  EXPECT_TRUE((*scorer)->Score(OneRow()).ok());
   EXPECT_TRUE(registry.Info("a")->warm);
+  EXPECT_FALSE(registry.Info("a")->artifact);
 }
 
 TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
@@ -212,7 +218,8 @@ TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
 
   ModelRegistry registry;
   registry.set_warm_capacity(1);
-  auto pinned = std::make_shared<const core::TargAdPipeline>(TrainPipeline(3));
+  auto pinned = std::make_shared<const core::FrozenScorer>(
+      TrainPipeline(3).Freeze(nn::Dtype::kFloat64).ValueOrDie());
   registry.Publish("pinned", pinned);
   ASSERT_TRUE(registry.PublishFile("a", (dir.path() / "a.tgz1").string()).ok());
   ASSERT_TRUE(registry.PublishFile("b", (dir.path() / "b.tgz1").string()).ok());
@@ -224,22 +231,23 @@ TEST(RegistryTieringTest, InMemoryPublishesArePinnedWarm) {
   EXPECT_TRUE(registry.Info("pinned")->warm);
   EXPECT_FALSE(registry.Info("a")->warm);
   EXPECT_TRUE(registry.Info("b")->warm);
-  EXPECT_EQ(registry.Get("pinned")->get(), pinned.get());
+  EXPECT_EQ(registry.GetScorer("pinned")->get(),
+            static_cast<const core::RowScorer*>(pinned.get()));
 }
 
-TEST(RegistryTieringTest, ArtifactEntriesServeScorersNotPipelines) {
+TEST(RegistryTieringTest, ArtifactEntriesServeMappedInTheirOwnDtype) {
   TempDir dir;
   WriteFlatArtifact(dir.path() / "flat.tgz1", 1);
-  ModelRegistry registry;
+  ModelRegistry registry;  // Default serve dtype float64 does not apply.
   ASSERT_TRUE(
       registry.PublishFile("flat", (dir.path() / "flat.tgz1").string()).ok());
   EXPECT_TRUE(registry.Info("flat")->artifact);
-  // A flat artifact carries no training pipeline: Get is a usage error
-  // (FailedPrecondition, not NotFound), GetScorer is the serving path.
-  EXPECT_EQ(registry.Get("flat").status().code(),
-            StatusCode::kFailedPrecondition);
   auto scorer = registry.GetScorer("flat");
   ASSERT_TRUE(scorer.ok());
+  const auto* frozen = dynamic_cast<const core::FrozenScorer*>(scorer->get());
+  ASSERT_NE(frozen, nullptr);
+  EXPECT_TRUE(frozen->mapped());
+  EXPECT_EQ(frozen->dtype(), nn::Dtype::kFloat32);
   EXPECT_TRUE((*scorer)->Score(OneRow()).ok());
 }
 

@@ -43,6 +43,10 @@ TEST(ParseDoubleTest, ParsesValidNumbers) {
   EXPECT_DOUBLE_EQ(v, -1e-3);
   EXPECT_TRUE(ParseDouble(" 42 ", &v));
   EXPECT_DOUBLE_EQ(v, 42.0);
+  EXPECT_TRUE(ParseDouble("0", &v));
+  EXPECT_DOUBLE_EQ(v, 0.0);
+  EXPECT_TRUE(ParseDouble("+0.25", &v));
+  EXPECT_DOUBLE_EQ(v, 0.25);
 }
 
 TEST(ParseDoubleTest, RejectsGarbage) {
@@ -52,6 +56,13 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("1.5x", &v));
   EXPECT_FALSE(ParseDouble("nan", &v));  // Non-finite rejected.
   EXPECT_FALSE(ParseDouble("inf", &v));
+  // Hexadecimal, which strtod would accept, after an optional sign.
+  EXPECT_FALSE(ParseDouble("0x10", &v));
+  EXPECT_FALSE(ParseDouble("0X10", &v));
+  EXPECT_FALSE(ParseDouble("0x1p3", &v));
+  EXPECT_FALSE(ParseDouble("-0x10", &v));
+  EXPECT_FALSE(ParseDouble("+0x1p3", &v));
+  EXPECT_FALSE(ParseDouble(" 0x10 ", &v));
 }
 
 TEST(ParseIntTest, ParsesValidIntegers) {

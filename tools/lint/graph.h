@@ -31,7 +31,7 @@
 //                           swapped, assigned, or declared) each iteration.
 //
 // Resolution is name-based and deliberately conservative: calls that cannot
-// be resolved to a unique definition get no edge (see DESIGN.md §16 for the
+// be resolved to a unique definition get no edge (see DESIGN.md §15 for the
 // rules and the known soundness limits).
 
 #ifndef TARGAD_TOOLS_LINT_GRAPH_H_

@@ -29,12 +29,13 @@
 //       A row that finds no batch being scored is dispatched at once;
 //       --delay-us is the longest a row waits behind a running batch for
 //       its own batch to fill up to --batch rows.
-//       --dtype float32 freezes published models into the float32 inference
-//       plan; float64 (default) serves the full-precision pipeline. --models
-//       registers every artifact in DIR; a row may start with a
-//       "model=<name>" cell to route to one of them. --refresh-ms N > 0
-//       polls every registered artifact's mtime every N milliseconds on a
-//       background timer and hot-swaps changed files (zero-downtime
+//       Text models are frozen when they load: --dtype float64 (default)
+//       scores bit-identically to `targad score`, float32 halves the
+//       weights at a drift under 1e-4; .tgz1 artifacts keep their own
+//       dtype. --models registers every artifact in DIR; a row may start
+//       with a "model=<name>" cell to route to one of them. --refresh-ms
+//       N > 0 polls every registered artifact's mtime every N milliseconds
+//       on a background timer and hot-swaps changed files (zero-downtime
 //       redeploy: overwrite the .targad in place and the next batch scores
 //       with the new model). --warm N caps the registry's warm tier at N
 //       resident models: past the cap the least-recently-served file-backed
@@ -47,7 +48,8 @@
 //       Either mode drains gracefully on SIGTERM/SIGINT: input stops,
 //       every in-flight row is scored and written, then the process exits.
 //
-// Unknown flags are rejected with the subcommand's valid flag list.
+// Unknown flags are rejected with the subcommand's valid flag list; serve's
+// integer flags are range-checked before anything loads.
 // Exit status 0 on success; errors print to stderr.
 
 #include <fcntl.h>
@@ -65,6 +67,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -129,6 +132,21 @@ class Flags {
     long v = fallback;  // NOLINT(runtime/int)
     auto it = values_.find(key);
     if (it != values_.end() && !ParseInt(it->second, &v)) return fallback;
+    return static_cast<int>(v);
+  }
+
+  /// The value of `key` as an integer in [lo, hi], or `fallback` when the
+  /// flag is absent. A value that is not an integer or lies outside the
+  /// range is an error naming the flag.
+  Result<int> GetIntInRange(const std::string& key, int fallback, int lo,
+                            int hi) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    long v = 0;  // NOLINT(runtime/int)
+    if (!ParseInt(it->second, &v) || v < lo || v > hi) {
+      return Status::InvalidArgument("--", key, " must be an integer in [", lo,
+                                     ", ", hi, "], got '", it->second, "'");
+    }
     return static_cast<int>(v);
   }
 
@@ -318,11 +336,7 @@ int CmdFreeze(const Flags& flags) {
   auto dtype = nn::ParseDtype(flags.Get("dtype", "float64"));
   if (!dtype.ok()) return Fail(dtype.status().ToString());
 
-  std::ifstream model_in(model_path);
-  if (!model_in) return Fail("cannot open " + model_path);
-  auto pipeline = core::TargAdPipeline::Load(model_in);
-  if (!pipeline.ok()) return Fail(pipeline.status().ToString());
-  auto frozen = pipeline->Freeze(*dtype);
+  auto frozen = core::FrozenScorer::LoadText(model_path, *dtype);
   if (!frozen.ok()) return Fail(frozen.status().ToString());
   Status st = frozen->SaveArtifact(out_path);
   if (!st.ok()) return Fail(st.ToString());
@@ -422,15 +436,45 @@ int CmdServe(const Flags& flags) {
   auto dtype = nn::ParseDtype(flags.Get("dtype", "float64"));
   if (!dtype.ok()) return Fail(dtype.status().ToString());
 
+  // Integer flags are checked before anything loads: a typo must not fall
+  // back to the default, and a negative count must not wrap to SIZE_MAX
+  // once it is cast to size_t.
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  int batch = 0, delay_us = 0, workers = 0, queue = 0, refresh_ms = 0;
+  int warm = 0, port = 0, max_conns = 0, max_line = 0, max_inflight = 0;
+  int idle_ms = 0, drain_grace_ms = 0;
+  const struct {
+    const char* key;
+    int* out;
+    int fallback, lo, hi;
+  } int_flags[] = {
+      {"batch", &batch, 64, 1, kMaxInt},
+      {"delay-us", &delay_us, 200, 0, kMaxInt},
+      {"workers", &workers, 2, 1, 1024},
+      {"queue", &queue, 4096, 1, kMaxInt},
+      {"refresh-ms", &refresh_ms, 0, 1, kMaxInt},  // Absent: no refresher.
+      {"warm", &warm, 0, 1, kMaxInt},              // Absent: unbounded.
+      {"tcp", &port, 0, 0, 65535},
+      {"max-conns", &max_conns, 1024, 1, kMaxInt},
+      {"max-line", &max_line, 64 * 1024, 1, kMaxInt},
+      {"max-inflight", &max_inflight, 256, 1, kMaxInt},
+      {"idle-ms", &idle_ms, 0, 0, kMaxInt},
+      {"drain-grace-ms", &drain_grace_ms, 5000, 0, kMaxInt},
+  };
+  for (const auto& flag : int_flags) {
+    auto value = flags.GetIntInRange(flag.key, flag.fallback, flag.lo, flag.hi);
+    if (!value.ok()) return Fail(value.status().message());
+    *flag.out = *value;
+  }
+
   // From here on threads get spawned (scorer workers, refresher, listener);
   // keep stop signals blocked everywhere until the serving thread of the
   // chosen mode is ready to own them.
   BlockStopSignals();
 
-  // The registry is the hot-swap point: a future front-end republishes a
-  // retrained artifact under the same name while scoring continues. With
-  // --dtype float32 every publish freezes the pipeline into the float32
-  // inference plan; GetScorer then serves the frozen snapshot.
+  // The registry is the hot-swap point: a retrained artifact republished
+  // under the same name is served from the next batch on. Every model it
+  // holds is a FrozenScorer; text models are frozen at --dtype on load.
   // Declared before the registry so the registry (whose loads/evictions
   // record into it) is destroyed first.
   serve::ServeMetrics metrics;
@@ -438,10 +482,6 @@ int CmdServe(const Flags& flags) {
   serve::ModelRegistry registry;
   registry.set_serve_dtype(*dtype);
   registry.set_metrics(&metrics);
-  const int warm = flags.GetInt("warm", 0);
-  if (warm < 0 || (flags.Has("warm") && warm == 0)) {
-    return Fail("--warm must be a positive integer (resident models)");
-  }
   registry.set_warm_capacity(static_cast<size_t>(warm));
   if (!models_dir.empty()) {
     Status st = registry.LoadDirectory(models_dir);
@@ -460,10 +500,6 @@ int CmdServe(const Flags& flags) {
   // --refresh-ms: background mtime re-poll. Overwriting a registered
   // artifact file while serving hot-swaps it within one interval; rows
   // already submitted keep the snapshot they started with.
-  const int refresh_ms = flags.GetInt("refresh-ms", 0);
-  if (refresh_ms < 0 || (flags.Has("refresh-ms") && refresh_ms == 0)) {
-    return Fail("--refresh-ms must be a positive integer (milliseconds)");
-  }
   std::atomic<uint64_t> refresh_polls{0};
   std::atomic<uint64_t> refresh_republished{0};
   std::atomic<uint64_t> refresh_errors{0};
@@ -473,10 +509,10 @@ int CmdServe(const Flags& flags) {
   std::thread refresher;
 
   serve::BatchScorerOptions options;
-  options.max_batch_size = static_cast<size_t>(flags.GetInt("batch", 64));
-  options.max_queue_delay_us = flags.GetInt("delay-us", 200);
-  options.num_workers = static_cast<size_t>(flags.GetInt("workers", 2));
-  options.max_queue_rows = static_cast<size_t>(flags.GetInt("queue", 4096));
+  options.max_batch_size = static_cast<size_t>(batch);
+  options.max_queue_delay_us = delay_us;
+  options.num_workers = static_cast<size_t>(workers);
+  options.max_queue_rows = static_cast<size_t>(queue);
 
   serve::BatchScorer scorer(
       serve::BatchScorer::NamedSnapshotProvider(
@@ -554,15 +590,12 @@ int CmdServe(const Flags& flags) {
 
     net::TcpServerOptions net_options;
     net_options.bind_address = flags.Get("bind", "127.0.0.1");
-    net_options.port = static_cast<uint16_t>(flags.GetInt("tcp", 0));
-    net_options.max_connections =
-        static_cast<size_t>(flags.GetInt("max-conns", 1024));
-    net_options.max_line_bytes =
-        static_cast<size_t>(flags.GetInt("max-line", 64 * 1024));
-    net_options.max_inflight_rows =
-        static_cast<size_t>(flags.GetInt("max-inflight", 256));
-    net_options.idle_timeout_ms = flags.GetInt("idle-ms", 0);
-    net_options.drain_grace_ms = flags.GetInt("drain-grace-ms", 5000);
+    net_options.port = static_cast<uint16_t>(port);
+    net_options.max_connections = static_cast<size_t>(max_conns);
+    net_options.max_line_bytes = static_cast<size_t>(max_line);
+    net_options.max_inflight_rows = static_cast<size_t>(max_inflight);
+    net_options.idle_timeout_ms = idle_ms;
+    net_options.drain_grace_ms = drain_grace_ms;
     net_options.drain_fd = signal_pipe[0];
     net_options.serve_metrics = &metrics;
 
